@@ -30,7 +30,12 @@ from .fits import (
     compare_fits,
     power_law_mle,
 )
-from .clustering import local_clustering, clustering_histogram, mean_clustering
+from .clustering import (
+    local_clustering,
+    local_triangles,
+    clustering_histogram,
+    mean_clustering,
+)
 from .ego import EgoNetwork, ego_network, sample_ego_networks
 from .groups import within_group_network, age_group_degree_distributions
 from .summary import NetworkSummary, summarize
@@ -57,6 +62,7 @@ __all__ = [
     "power_law_mle",
     "bootstrap_exponent_ci",
     "local_clustering",
+    "local_triangles",
     "clustering_histogram",
     "mean_clustering",
     "EgoNetwork",

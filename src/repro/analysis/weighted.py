@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.kernels import edge_triangles
 from ..core.network import CollocationNetwork
 from ..errors import AnalysisError
+from .clustering import incident_sums, upper_pattern
 from .degree import DegreeDistribution, degree_distribution
 
 __all__ = [
@@ -47,39 +49,26 @@ def edge_weight_distribution(
     return weights.astype(np.int64), counts.astype(np.int64)
 
 
-def weighted_clustering(
-    network: CollocationNetwork, batch_rows: int = 4096
-) -> np.ndarray:
+def weighted_clustering(network: CollocationNetwork) -> np.ndarray:
     """Barrat weighted local clustering coefficient per vertex.
 
     ``c_w(i) = 1/(s_i (k_i - 1)) Σ_{jh} (w_ij + w_ih)/2 · a_ij a_ih a_jh``
     where ``s_i`` is strength and ``k_i`` degree.  Reduces to the binary
     coefficient when all weights are equal.
-    """
-    sym = network.symmetric().astype(np.float64)
-    binary = sym.copy()
-    binary.data = np.ones_like(binary.data)
-    n = sym.shape[0]
-    degrees = np.diff(sym.indptr).astype(np.int64)
-    strength = np.asarray(sym.sum(axis=1)).ravel()
 
-    coeff = np.zeros(n, dtype=np.float64)
-    for lo in range(0, n, batch_rows):
-        hi = min(n, lo + batch_rows)
-        a_block = binary[lo:hi]
-        w_block = sym[lo:hi]
-        # triangle closure mask: which (i, j) participate in triangles,
-        # weighted by the number of common neighbors h with a_jh = 1
-        closure = (a_block @ binary).multiply(a_block)
-        # Σ_j w_ij · (#closed wedges through j) accounts for (w_ij)/2 twice
-        contrib = np.asarray(
-            closure.multiply(w_block).sum(axis=1)
-        ).ravel()
-        can = degrees[lo:hi] >= 2
-        denom = strength[lo:hi] * (degrees[lo:hi] - 1)
-        vals = np.zeros(hi - lo)
-        vals[can] = contrib[can] / denom[can]
-        coeff[lo:hi] = vals
+    The double sum is ``Σ_j w_ij · t_ij`` over the per-edge triangle
+    support ``t`` (each common neighbour ``h`` of ``i`` and ``j`` counts
+    ``w_ij/2`` from the pair ``(j, h)`` and again from ``(h, j)``), so it
+    shares the Fig. 4 kernel and forms no ``A·A`` product.
+    """
+    a = upper_pattern(network)
+    weights = a.data.astype(np.float64)
+    contrib = incident_sums(a, weights * edge_triangles(a))
+    strength = incident_sums(a, weights)
+    degrees = incident_sums(a)
+    coeff = np.zeros(len(degrees), dtype=np.float64)
+    can = degrees >= 2
+    coeff[can] = contrib[can] / (strength[can] * (degrees[can] - 1))
     if coeff.size and (coeff.min() < -1e-9 or coeff.max() > 1.0 + 1e-9):
         raise AnalysisError("weighted clustering outside [0, 1]")
     return np.clip(coeff, 0.0, 1.0)

@@ -25,6 +25,10 @@ backend is bit-identical, gated by the equivalence suite:
 ``REPRO_KERNEL_IMPL`` (``cext`` | ``numba`` | ``numpy``) pins the
 masked-backend implementation — CI uses it to gate each implementation
 explicitly; ``REPRO_NO_CC=1`` additionally forbids the C build.
+
+The analysis side has one kernel here too: :func:`edge_triangles`
+(:mod:`.triangles`), the per-edge triangle support behind Fig. 4, on
+the same tiers (C extension under ``cext``, a numpy twin otherwise).
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from __future__ import annotations
 import os
 
 from ...errors import SynthesisError
+from .triangles import TRIANGLE_STAGES, edge_triangles
 from .workspace import (
     KERNEL_STAGES,
     KernelWorkspace,
     absorb_task_telemetry,
     collect_kernel_timings,
     collect_task_telemetry,
+    emit_kernel_stages,
     get_workspace,
     kernel_stage,
     merge_kernel_timings,
@@ -56,10 +62,13 @@ __all__ = [
     "absorb_task_telemetry",
     "collect_kernel_timings",
     "collect_task_telemetry",
+    "edge_triangles",
+    "emit_kernel_stages",
     "get_workspace",
     "kernel_stage",
     "merge_kernel_timings",
     "task_span",
+    "TRIANGLE_STAGES",
 ]
 
 #: selectable kernel backends (``auto`` resolves to one of these)

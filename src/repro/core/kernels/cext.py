@@ -13,6 +13,7 @@ Environment knobs:
 
 ``REPRO_NO_CC=1``
     never compile or load the C extension (CI's pure-fallback leg).
+    Empty or ``0`` leaves the build on.
 ``REPRO_KERNEL_CC``
     compiler executable to use (default: ``cc`` then ``gcc`` then
     ``clang``, first found on PATH).
@@ -92,6 +93,8 @@ class CompiledKernels:
         lib.rk_pack_triples.restype = ctypes.c_int64
         lib.rk_keys_to_csr.restype = ctypes.c_int64
         lib.rk_fill_values.restype = ctypes.c_int64
+        lib.rk_orient_edges.restype = ctypes.c_int64
+        lib.rk_edge_support.restype = ctypes.c_int64
 
     def col_stats(
         self,
@@ -384,6 +387,50 @@ class CompiledKernels:
             _as_ptr(vals_out, _I64),
         )
 
+    def orient_edges(
+        self,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        deg: np.ndarray,
+        rank: np.ndarray,
+        optr: np.ndarray,
+        odst: np.ndarray,
+        oeid: np.ndarray,
+    ) -> None:
+        self._lib.rk_orient_edges(
+            ctypes.c_int64(n),
+            _as_ptr(indptr, _I64),
+            _as_ptr(indices, _I32),
+            _as_ptr(deg, _I64),
+            _as_ptr(rank, _I64),
+            _as_ptr(optr, _I64),
+            _as_ptr(odst, _I32),
+            _as_ptr(oeid, _I64),
+        )
+
+    def edge_support(
+        self,
+        n: int,
+        optr: np.ndarray,
+        odst: np.ndarray,
+        oeid: np.ndarray,
+        mark: np.ndarray,
+        sup: np.ndarray,
+    ) -> int:
+        """Fill ``sup`` with per-edge triangle support; returns the
+        triangle count."""
+        return int(
+            self._lib.rk_edge_support(
+                ctypes.c_int64(n),
+                _as_ptr(optr, _I64),
+                _as_ptr(odst, _I32),
+                _as_ptr(oeid, _I64),
+                _as_ptr(mark, _I64),
+                _as_ptr(sup, _I64),
+            )
+        )
+
 
 def _build(cc: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -402,11 +449,12 @@ def _build(cc: str, target: Path) -> None:
 
 
 def _smoke_test(kernels: CompiledKernels) -> None:
-    """One tiny end-to-end product checked against the closed form.
+    """Tiny inputs checked against their closed forms.
 
     Two persons sharing one 3-hour segment must yield the single triple
-    (0, 1, 3), through the transpose and the product.  Guards against a
-    mis-built or ABI-skewed object before anything trusts it.
+    (0, 1, 3), through the transpose and the product; a triangle must
+    give each of its edges support 1.  Guards against a mis-built or
+    ABI-skewed object before anything trusts it.
     """
     indptr = np.array([0, 1, 2], dtype=np.int32)
     cols = np.array([0, 0], dtype=np.int32)
@@ -426,6 +474,16 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     )
     if n != 1 or out_r[0] != 0 or out_c[0] != 1 or out_v[0] != 3:
         raise RuntimeError("compiled kernel smoke test failed")
+    # the triangle kernel on K3: one triangle supporting all three edges
+    indptr = np.array([0, 2, 3, 3], dtype=np.int64)
+    cols = np.array([1, 2, 2], dtype=np.int32)
+    deg, rank, optr, mark = (np.empty(k, np.int64) for k in (3, 3, 4, 3))
+    odst = np.empty(3, np.int32)
+    oeid = np.empty(3, np.int64)
+    sup = np.empty(3, np.int64)
+    kernels.orient_edges(3, indptr, cols, deg, rank, optr, odst, oeid)
+    if kernels.edge_support(3, optr, odst, oeid, mark, sup) != 1 or sup.tolist() != [1, 1, 1]:
+        raise RuntimeError("compiled triangle kernel smoke test failed")
 
 
 def load_cext() -> CompiledKernels | None:
@@ -434,7 +492,7 @@ def load_cext() -> CompiledKernels | None:
     global _lib, _error
     if _lib is not None:
         return _lib or None
-    if os.environ.get("REPRO_NO_CC"):
+    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
         _lib, _error = False, "disabled by REPRO_NO_CC"
         return None
     cc = _find_cc()

@@ -10,6 +10,12 @@ compilable when numba is installed.
 Do not call these on production-sized data without numba: they exist for
 correctness (tests exercise them against scipy) and for jitting, not for
 interpreted speed.
+
+The exception is the triangle kernel's pair, :func:`orient_edges` and
+:func:`edge_support`: vectorised numpy twins of ``rk_orient_edges`` /
+``rk_edge_support`` that every tier without the C extension runs at
+production size.  They produce the same orientation (up to the order
+within each out-list) and the same integer support.
 """
 
 from __future__ import annotations
@@ -22,7 +28,20 @@ __all__ = [
     "pack_triples",
     "keys_to_csr",
     "fill_values",
+    "orient_edges",
+    "edge_support",
 ]
+
+#: wedges expanded per block of :func:`edge_support` (bounds its scratch)
+_WEDGE_BLOCK = 1 << 20
+#: cells of the dense ``(block rows × n)`` edge-id lookup table.  It caps
+#: a block at ``_LOOKUP_CELLS // n`` source rows, so the block loop runs
+#: at least ``n² / 2²¹`` times; even so, the table beat a ``searchsorted``
+#: over the sorted ``src*n+dst`` keys at every size measured (2-core
+#: x86 VM): 0.04 vs 0.11 s at 6k vertices / 146k edges, 0.8 vs 1.9 s at
+#: 60k / 1.7M, 5.1 vs 8.6 s at 240k / 6.8M, and 7.9 vs 9.0 s with the
+#: same edges spread over 1M vertex ids
+_LOOKUP_CELLS = 1 << 21
 
 
 def csr_to_csc(nr, nc, indptr, cols, cp, ri, qp):
@@ -187,3 +206,79 @@ def fill_values(
         for k in range(indptr[r], indptr[r + 1]):
             vals_out[k] = acc[cols_out[k]]
     return 0
+
+
+def orient_edges(n, indptr, indices):
+    """Degree-ordered orientation of a strict-upper CSR pattern.
+
+    Ranks vertices by ``(degree, id)`` and points each edge from its
+    lower-ranked to its higher-ranked end.  Returns the out-lists in rank
+    labels: ``optr`` int64[n+1], ``odst`` int64[nnz] (head ranks,
+    ascending within each list) and ``oeid`` int64[nnz] (each out-edge's
+    position in the input).
+    """
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    col = np.asarray(indices, dtype=np.int64)
+    deg = np.bincount(row, minlength=n) + np.bincount(col, minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    ru = rank[row]
+    rv = rank[col]
+    src = np.minimum(ru, rv)
+    dst = np.maximum(ru, rv)
+    oeid = np.argsort(src * n + dst)
+    optr = np.searchsorted(src[oeid], np.arange(n + 1))
+    return optr, dst[oeid], oeid
+
+
+def edge_support(n, optr, odst, oeid):
+    """Per-edge triangle support over :func:`orient_edges`' output.
+
+    Expands every wedge ``u→v→w`` (``v`` an out-neighbour of ``u``,
+    ``w`` of ``v``) and looks ``u→w`` up in a dense edge-id table over a
+    block of source rows; each hit is a triangle, found once at its
+    lowest-ranked corner, and adds one to each of its three edges.
+    Blocks bound both the table and the expanded wedges.  Returns
+    ``(sup int64[nnz] aligned with the input edges, triangle count)``.
+    """
+    nnz = len(odst)
+    out_deg = np.diff(optr)
+    lens = out_deg[odst]
+    # wedge offsets per out-edge, and per source row through optr
+    wptr = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum(lens, out=wptr[1:])
+    row_wedges = wptr[optr]
+    rows = max(1, min(n, _LOOKUP_CELLS // max(n, 1)))
+    table = np.full(rows * n, -1, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), out_deg)
+    sup = np.zeros(nnz, dtype=np.int64)
+    hits = []
+    n_hits = n_tri = 0
+    u0 = 0
+    while u0 < n:
+        u1 = int(np.searchsorted(row_wedges, row_wedges[u0] + _WEDGE_BLOCK, "right")) - 1
+        u1 = min(n, u0 + rows, max(u1, u0 + 1))
+        k0, k1 = optr[u0], optr[u1]
+        total = int(wptr[k1] - wptr[k0])
+        if total:
+            cell = (src[k0:k1] - u0) * n + odst[k0:k1]
+            table[cell] = np.arange(k0, k1)
+            span = lens[k0:k1]
+            uv = np.repeat(np.arange(k0, k1), span)
+            vw = np.repeat(optr[odst[k0:k1]] - (wptr[k0:k1] - wptr[k0]), span)
+            vw += np.arange(total)
+            uw = table[(src[uv] - u0) * n + odst[vw]]
+            closed = np.flatnonzero(uw >= 0)
+            hits += [uv[closed], vw[closed], uw[closed]]
+            n_hits += 3 * len(closed)
+            n_tri += len(closed)
+            table[cell] = -1
+        u0 = u1
+        if hits and (n_hits >= _WEDGE_BLOCK or u0 == n):
+            # fold closed triangles in every block's worth, not at the
+            # end: the hit lists would otherwise hold 3 ids per triangle
+            sup += np.bincount(np.concatenate(hits), minlength=nnz)
+            hits, n_hits = [], 0
+    out = np.empty(nnz, dtype=np.int64)
+    out[oeid] = sup
+    return out, n_tri

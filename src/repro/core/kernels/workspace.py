@@ -36,6 +36,7 @@ __all__ = [
     "get_workspace",
     "kernel_stage",
     "collect_kernel_timings",
+    "emit_kernel_stages",
     "collect_task_telemetry",
     "merge_kernel_timings",
     "absorb_task_telemetry",
@@ -121,6 +122,20 @@ def collect_kernel_timings() -> dict[str, float]:
     times = _times()
     out = dict(times)
     times.clear()
+    return out
+
+
+def emit_kernel_stages(*names: str) -> dict[str, float]:
+    """Drain the named stage clocks from this thread and emit them
+    through the active probe.
+
+    For kernels that run in the calling thread rather than inside a pool
+    task (the triangle kernel): their time reaches the probe at once and
+    never rides along in the next synthesis task's timings.
+    """
+    times = _times()
+    out = {name: times.pop(name) for name in names if name in times}
+    record_kernel_timings(out)
     return out
 
 

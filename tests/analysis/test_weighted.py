@@ -15,6 +15,7 @@ from repro.analysis.weighted import (
     weighted_clustering,
 )
 from repro.core import CollocationNetwork
+from repro.core.kernels.cext import cext_available
 from repro.errors import AnalysisError
 
 
@@ -84,10 +85,23 @@ class TestWeightedClustering:
         cc = weighted_clustering(small_net)
         assert cc.min() >= 0.0 and cc.max() <= 1.0
 
-    def test_batching_invariant(self, small_net):
-        a = weighted_clustering(small_net, batch_rows=64)
-        b = weighted_clustering(small_net, batch_rows=10**6)
-        assert np.allclose(a, b)
+    @pytest.mark.parametrize("impl", ["cext", "numpy"])
+    def test_matches_dense_product_reference(self, small_net, impl, monkeypatch):
+        """The support-array form equals Barrat's sum evaluated through
+        the masked ``A·A`` product, under every kernel tier."""
+        if impl == "cext" and not cext_available():
+            pytest.skip("cext kernel unavailable")
+        monkeypatch.setenv("REPRO_KERNEL_IMPL", impl)
+        w = small_net.symmetric().astype(np.float64)
+        a = w.copy()
+        a.data[:] = 1.0
+        contrib = np.asarray((a @ a).multiply(a).multiply(w).sum(axis=1)).ravel()
+        k = np.diff(a.indptr)
+        s = np.asarray(w.sum(axis=1)).ravel()
+        expect = np.zeros(len(k))
+        can = k >= 2
+        expect[can] = contrib[can] / (s[can] * (k[can] - 1))
+        assert np.allclose(weighted_clustering(small_net), expect, rtol=0, atol=1e-12)
 
 
 class TestAssortativity:

@@ -29,7 +29,7 @@ from repro.core.kernels import (
     get_workspace,
     resolve_backend,
 )
-from repro.core.kernels import pyref
+from repro.core.kernels import cext, pyref
 from repro.core.kernels.cext import cext_available
 from repro.core.slicing import clip_records, slice_records
 from repro.errors import SynthesisError
@@ -272,6 +272,22 @@ class TestBackendResolution:
         )
         assert report.backend == "masked"
         assert net.adjacency.nnz == 1
+
+    @pytest.mark.parametrize(
+        "value, disabled",
+        [("", False), ("0", False), (" 0 ", False), ("1", True), ("yes", True)],
+    )
+    def test_no_cc_reads_zero_as_off(self, monkeypatch, value, disabled):
+        """``REPRO_NO_CC=0`` (as CI's compiled legs set it) must leave the
+        C build on; only a truthy value switches it off."""
+        monkeypatch.setattr(cext, "_lib", None)
+        monkeypatch.setattr(cext, "_error", None)
+        # stops the load right after the switch, so nothing is compiled
+        monkeypatch.setattr(cext, "_find_cc", lambda: None)
+        monkeypatch.setenv("REPRO_NO_CC", value)
+        assert cext.load_cext() is None
+        want = "disabled by REPRO_NO_CC" if disabled else "no C compiler on PATH"
+        assert cext.cext_error() == want
 
     def test_backend_info_shape(self):
         info = backend_info()
